@@ -28,12 +28,10 @@ import (
 	"deadlineqos/internal/arch"
 	"deadlineqos/internal/experiments"
 	"deadlineqos/internal/harness"
-	"deadlineqos/internal/metrics"
 	"deadlineqos/internal/network"
 	"deadlineqos/internal/packet"
 	"deadlineqos/internal/pqueue"
 	"deadlineqos/internal/sim"
-	"deadlineqos/internal/trace"
 	"deadlineqos/internal/units"
 	"deadlineqos/internal/xrand"
 )
@@ -330,15 +328,19 @@ func BenchmarkAblationClockSkew(b *testing.B) {
 // on the full-load Advanced configuration — the cost metric for scaling
 // experiments up.
 func BenchmarkSimulationRate(b *testing.B) {
-	cfg := network.SmallConfig()
-	cfg.Arch = arch.Advanced2VC
-	cfg.Load = 1.0
-	cfg.WarmUp = 0
-	cfg.Measure = 2 * units.Millisecond
+	benchGateScenario(b, "simrate")
+}
+
+// benchGateScenario runs one harness.GateConfig scenario with seeds 1..N
+// and records it as BENCH_<scenario>.json.
+func benchGateScenario(b *testing.B, scenario string) {
 	b.ResetTimer()
 	var events, mallocs uint64
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i + 1)
+		cfg, err := harness.GateConfig(scenario, uint64(i+1))
+		if err != nil {
+			b.Fatal(err)
+		}
 		res, err := network.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -347,7 +349,7 @@ func BenchmarkSimulationRate(b *testing.B) {
 		mallocs += res.Perf.Mallocs
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-	writeBenchJSON(b, "simrate", events, mallocs)
+	writeBenchJSON(b, scenario, events, mallocs)
 }
 
 // BenchmarkSimulationRateMetrics is BenchmarkSimulationRate with the
@@ -356,25 +358,7 @@ func BenchmarkSimulationRate(b *testing.B) {
 // metrics overhead. (With metrics merely configured off, the per-site
 // cost is one nil check; that case is BenchmarkSimulationRate itself.)
 func BenchmarkSimulationRateMetrics(b *testing.B) {
-	cfg := network.SmallConfig()
-	cfg.Arch = arch.Advanced2VC
-	cfg.Load = 1.0
-	cfg.WarmUp = 0
-	cfg.Measure = 2 * units.Millisecond
-	b.ResetTimer()
-	var events, mallocs uint64
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i + 1)
-		cfg.Metrics = metrics.NewRegistry()
-		res, err := network.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += res.SimEvents
-		mallocs += res.Perf.Mallocs
-	}
-	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-	writeBenchJSON(b, "simrate_metrics", events, mallocs)
+	benchGateScenario(b, "simrate_metrics")
 }
 
 // BenchmarkSimulationRateTraced is BenchmarkSimulationRate with
@@ -383,30 +367,7 @@ func BenchmarkSimulationRateMetrics(b *testing.B) {
 // merely configured off, the per-event cost is one nil check; that case
 // is BenchmarkSimulationRate itself.)
 func BenchmarkSimulationRateTraced(b *testing.B) {
-	cfg := network.SmallConfig()
-	cfg.Arch = arch.Advanced2VC
-	cfg.Load = 1.0
-	cfg.WarmUp = 0
-	cfg.Measure = 2 * units.Millisecond
-	cfg.TrackOrderErrors = true
-	b.ResetTimer()
-	var events, mallocs uint64
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i + 1)
-		tr, err := trace.New(trace.Config{SampleRate: 0.02, Seed: cfg.Seed})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg.Tracer = tr
-		res, err := network.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += res.SimEvents
-		mallocs += res.Perf.Mallocs
-	}
-	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-	writeBenchJSON(b, "simrate_traced", events, mallocs)
+	benchGateScenario(b, "simrate_traced")
 }
 
 // BenchmarkArchitectures measures one full-load run per architecture, the
@@ -630,11 +591,10 @@ type parsimShardRun struct {
 // cross-shard hop is an event on both engines — so ns_per_op, not
 // events_per_sec, is the cross-shard-count comparison axis.
 func BenchmarkParsimScaling(b *testing.B) {
-	base := network.DefaultConfig() // paper-scale MIN
-	base.Arch = arch.Advanced2VC
-	base.Load = 1.0
-	base.WarmUp = 0
-	base.Measure = 3 * units.Millisecond
+	base, err := harness.GateConfig("parsim", 1) // paper-scale MIN
+	if err != nil {
+		b.Fatal(err)
+	}
 	runs := map[int]parsimShardRun{}
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

@@ -33,59 +33,39 @@ import (
 	"runtime"
 	"strings"
 
-	"deadlineqos/internal/arch"
 	"deadlineqos/internal/cli"
-	"deadlineqos/internal/metrics"
+	"deadlineqos/internal/harness"
 	"deadlineqos/internal/network"
-	"deadlineqos/internal/trace"
 	"deadlineqos/internal/units"
 )
 
-// benchResult mirrors the BENCH_<scenario>.json schema written by the
-// repository's Go benchmarks (see bench_test.go).
+// benchResult and parsimBench hold the fields the gate reads from the
+// BENCH_<scenario>.json files the repository's Go benchmarks write (see
+// bench_test.go).
 type benchResult struct {
-	Scenario        string  `json:"scenario"`
-	N               int     `json:"n"`
-	NsPerOp         float64 `json:"ns_per_op"`
-	EventsPerOp     float64 `json:"events_per_op"`
 	EventsPerSec    float64 `json:"events_per_sec"`
 	MallocsPerEvent float64 `json:"mallocs_per_event"`
 }
 
-// parsimBench mirrors BENCH_parsim.json.
 type parsimBench struct {
-	Scenario   string `json:"scenario"`
-	Topology   string `json:"topology"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Runs       []struct {
+	Runs []struct {
 		Shards  int     `json:"shards"`
 		NsPerOp float64 `json:"ns_per_op"`
 	} `json:"runs"`
 }
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "qosbench:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("qosbench", run) }
+
+var (
+	scenarios  = flag.String("scenarios", "simrate,simrate_traced,simrate_metrics", "comma-separated scenarios to gate: simrate|simrate_traced|simrate_metrics|parsim")
+	baseDir    = flag.String("baseline-dir", ".", "directory holding the committed BENCH_<scenario>.json baselines")
+	maxRegress = flag.Float64("max-regress", 0.25, "tolerated fractional regression (0.25 = fail below 75% of baseline throughput)")
+	iters      = flag.Int("iters", 5, "measurement repetitions per scenario (best run gates)")
+	slowdown   = flag.Float64("selftest-slowdown", 0, "divide the measured throughput by this factor before gating (>1 simulates a regression; the gate must then fail)")
+	allowOne   = flag.Bool("allow-single-cpu", false, "run even with GOMAXPROCS <= 1 (throughput baselines are meaningless there)")
+)
 
 func run() error {
-	var (
-		scenarios  = flag.String("scenarios", "simrate,simrate_traced,simrate_metrics", "comma-separated scenarios to gate: simrate|simrate_traced|simrate_metrics|parsim")
-		baseDir    = flag.String("baseline-dir", ".", "directory holding the committed BENCH_<scenario>.json baselines")
-		maxRegress = flag.Float64("max-regress", 0.25, "tolerated fractional regression (0.25 = fail below 75% of baseline throughput)")
-		iters      = flag.Int("iters", 5, "measurement repetitions per scenario (best run gates)")
-		slowdown   = flag.Float64("selftest-slowdown", 0, "divide the measured throughput by this factor before gating (>1 simulates a regression; the gate must then fail)")
-		allowOne   = flag.Bool("allow-single-cpu", false, "run even with GOMAXPROCS <= 1 (throughput baselines are meaningless there)")
-		prof       = cli.ProfileFlags()
-	)
-	flag.Parse()
-	if err := prof.Start(); err != nil {
-		return err
-	}
-	defer prof.Stop()
-
 	if p := runtime.GOMAXPROCS(0); p <= 1 && !*allowOne {
 		return fmt.Errorf("GOMAXPROCS=%d: single-CPU throughput is not comparable to the committed baselines (override with -allow-single-cpu)", p)
 	}
@@ -120,37 +100,11 @@ func run() error {
 	return nil
 }
 
-// scalarConfig builds one scenario's network configuration (the same
-// shape the Go benchmarks measure).
-func scalarConfig(scenario string, seed uint64) (network.Config, error) {
-	cfg := network.SmallConfig()
-	cfg.Arch = arch.Advanced2VC
-	cfg.Load = 1.0
-	cfg.WarmUp = 0
-	cfg.Measure = 2 * units.Millisecond
-	cfg.Seed = seed
-	switch scenario {
-	case "simrate":
-	case "simrate_traced":
-		cfg.TrackOrderErrors = true
-		tr, err := trace.New(trace.Config{SampleRate: 0.02, Seed: seed})
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Tracer = tr
-	case "simrate_metrics":
-		cfg.Metrics = metrics.NewRegistry()
-	default:
-		return cfg, fmt.Errorf("unknown scenario (want simrate|simrate_traced|simrate_metrics|parsim)")
-	}
-	return cfg, nil
-}
-
 // gateScalar measures one scalar scenario and compares it to its
 // baseline file.
 func gateScalar(scenario, dir string, tol float64, iters int, slowdown float64) error {
-	base, err := readBaseline(filepath.Join(dir, "BENCH_"+scenario+".json"))
-	if err != nil {
+	var base benchResult
+	if err := readBaseline(dir, scenario, &base); err != nil {
 		return err
 	}
 	if base.EventsPerSec <= 0 {
@@ -158,7 +112,7 @@ func gateScalar(scenario, dir string, tol float64, iters int, slowdown float64) 
 	}
 	var bestRate, bestAllocs float64
 	for i := 0; i < iters; i++ {
-		cfg, err := scalarConfig(scenario, uint64(i+1))
+		cfg, err := harness.GateConfig(scenario, uint64(i+1))
 		if err != nil {
 			return err
 		}
@@ -193,34 +147,27 @@ func gateScalar(scenario, dir string, tol float64, iters int, slowdown float64) 
 // gateParsim re-runs the paper-scale sharded reference at the baseline's
 // shard counts and gates on ns_per_op per row.
 func gateParsim(dir string, tol float64, slowdown float64) error {
-	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_parsim.json"))
-	if err != nil {
-		return err
-	}
 	var base parsimBench
-	if err := json.Unmarshal(raw, &base); err != nil {
+	if err := readBaseline(dir, "parsim", &base); err != nil {
 		return err
 	}
 	if len(base.Runs) == 0 {
 		return fmt.Errorf("baseline has no runs")
 	}
-	cfg := network.DefaultConfig()
-	cfg.Arch = arch.Advanced2VC
-	cfg.Load = 1.0
-	cfg.WarmUp = 0
-	cfg.Measure = 3 * units.Millisecond
-	cfg.Seed = 1
+	cfg, err := harness.GateConfig("parsim", 1)
+	if err != nil {
+		return err
+	}
 	for _, run := range base.Runs {
 		if run.NsPerOp <= 0 {
 			continue
 		}
 		c := cfg
 		c.Shards = run.Shards
-		n, err := network.New(c)
+		res, err := network.Run(c)
 		if err != nil {
 			return err
 		}
-		res := n.Run()
 		ns := float64(res.Perf.WallNs)
 		if slowdown > 0 {
 			ns *= slowdown
@@ -236,15 +183,15 @@ func gateParsim(dir string, tol float64, slowdown float64) error {
 	return nil
 }
 
-// readBaseline loads one scalar BENCH_<scenario>.json.
-func readBaseline(path string) (*benchResult, error) {
+// readBaseline decodes the committed BENCH_<scenario>.json in dir into v.
+func readBaseline(dir, scenario string, v any) error {
+	path := filepath.Join(dir, "BENCH_"+scenario+".json")
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var b benchResult
-	if err := json.Unmarshal(raw, &b); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	if err := json.Unmarshal(raw, v); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	return &b, nil
+	return nil
 }

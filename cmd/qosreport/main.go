@@ -32,18 +32,22 @@ func main() {
 	os.Exit(code)
 }
 
-func run() (int, error) {
+func run() (code int, err error) {
 	var (
 		beforePath = flag.String("before", "", "baseline snapshot (from qosim -json)")
 		afterPath  = flag.String("after", "", "candidate snapshot")
 		tolerance  = flag.Float64("tolerance", 0.10, "relative change beyond which a metric is flagged")
 	)
-	prof := cli.ProfileFlags()
+	prof := cli.ProfileFlags(flag.CommandLine)
 	flag.Parse()
 	if err := prof.Start(); err != nil {
 		return 0, err
 	}
-	defer prof.Stop()
+	defer func() {
+		if serr := prof.Stop(); err == nil {
+			err = serr
+		}
+	}()
 	if *beforePath == "" || *afterPath == "" {
 		return 0, fmt.Errorf("both -before and -after are required")
 	}

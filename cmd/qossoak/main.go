@@ -27,80 +27,62 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"deadlineqos/internal/cli"
 	"deadlineqos/internal/metrics"
 	"deadlineqos/internal/soak"
+	"deadlineqos/internal/units"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "qossoak:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("qossoak", run) }
+
+var (
+	seed         = flag.Uint64("seed", 1, "master seed; epoch e runs with a seed derived from (seed, e)")
+	epochs       = flag.Int("epochs", 4, "number of epochs to run")
+	firstEpoch   = flag.Int("first-epoch", 0, "index of the first epoch (for replaying a single epoch)")
+	shards       = cli.ShardsFlag(flag.CommandLine)
+	load         = flag.Float64("load", 0.8, "offered load per host as a fraction of link bandwidth")
+	warmup       = cli.DurationFlag(flag.CommandLine, "warmup", units.Millisecond, "per-epoch warm-up period excluded from measurement")
+	measure      = cli.DurationFlag(flag.CommandLine, "measure", 8*units.Millisecond, "per-epoch measurement window")
+	switchFaults = flag.Int("switch-faults", 2, "switch outage pairs per epoch")
+	flaps        = flag.Int("flaps", 3, "link flap pairs per epoch")
+	derates      = flag.Int("derates", 2, "bandwidth derate pairs per epoch")
+	polName      = cli.PolicyFlag(flag.CommandLine)
+	coflows      = flag.Bool("coflows", false, "attach the ring coflow workload (sigma-order admission) to every epoch")
+	rogues       = flag.Int("rogues", 0, "RogueFlow misbehaviour windows per epoch")
+	forges       = flag.Int("forges", 0, "DeadlineForge misbehaviour windows per epoch")
+	police       = flag.Bool("police", false, "enforce per-flow token-bucket policing at NIC ingress")
+	metricsAddr  = cli.MetricsAddrFlag(flag.CommandLine)
+	flightrec    = flag.String("flightrec", "", "arm the flight recorder; dump the event window to this file on an invariant trip or deadline-miss burst")
+	missBurst    = flag.Int("miss-burst", 0, "trip the flight recorder when this many deadline misses land within -miss-window (0 = off)")
+	missWindow   = cli.DurationFlag(flag.CommandLine, "miss-window", units.Millisecond, "deadline-miss-burst window")
+	injectFail   = flag.Bool("inject-failure", false, "fail the first epoch's audit with a synthetic violation (exercises the flight-dump path; exits non-zero)")
+)
 
 func run() error {
-	var (
-		seed         = flag.Uint64("seed", 1, "master seed; epoch e runs with a seed derived from (seed, e)")
-		epochs       = flag.Int("epochs", 4, "number of epochs to run")
-		firstEpoch   = flag.Int("first-epoch", 0, "index of the first epoch (for replaying a single epoch)")
-		shards       = cli.ShardsFlag()
-		load         = flag.Float64("load", 0.8, "offered load per host as a fraction of link bandwidth")
-		warmup       = flag.String("warmup", "1ms", "per-epoch warm-up period excluded from measurement")
-		measure      = flag.String("measure", "8ms", "per-epoch measurement window")
-		switchFaults = flag.Int("switch-faults", 2, "switch outage pairs per epoch")
-		flaps        = flag.Int("flaps", 3, "link flap pairs per epoch")
-		derates      = flag.Int("derates", 2, "bandwidth derate pairs per epoch")
-		polName      = cli.PolicyFlag()
-		coflows      = flag.Bool("coflows", false, "attach the ring coflow workload (sigma-order admission) to every epoch")
-		rogues       = flag.Int("rogues", 0, "RogueFlow misbehaviour windows per epoch")
-		forges       = flag.Int("forges", 0, "DeadlineForge misbehaviour windows per epoch")
-		police       = flag.Bool("police", false, "enforce per-flow token-bucket policing at NIC ingress")
-		metricsAddr  = cli.MetricsAddrFlag()
-		flightrec    = flag.String("flightrec", "", "arm the flight recorder; dump the event window to this file on an invariant trip or deadline-miss burst")
-		missBurst    = flag.Int("miss-burst", 0, "trip the flight recorder when this many deadline misses land within -miss-window (0 = off)")
-		missWindow   = flag.String("miss-window", "1ms", "deadline-miss-burst window")
-		injectFail   = flag.Bool("inject-failure", false, "fail the first epoch's audit with a synthetic violation (exercises the flight-dump path; exits non-zero)")
-		prof         = cli.ProfileFlags()
-	)
-	flag.Parse()
-	if err := prof.Start(); err != nil {
-		return err
-	}
-	defer prof.Stop()
-
 	opt := soak.Options{
-		Seed:         *seed,
-		Epochs:       *epochs,
-		FirstEpoch:   *firstEpoch,
-		Shards:       *shards,
-		Load:         *load,
-		SwitchFaults: *switchFaults,
-		Flaps:        *flaps,
-		Derates:      *derates,
-		Policy:       *polName,
-		Coflows:      *coflows,
-		Rogues:       *rogues,
-		Forges:       *forges,
-		Police:       *police,
+		Seed:            *seed,
+		Epochs:          *epochs,
+		FirstEpoch:      *firstEpoch,
+		Shards:          *shards,
+		Load:            *load,
+		SwitchFaults:    *switchFaults,
+		Flaps:           *flaps,
+		Derates:         *derates,
+		Policy:          *polName,
+		Coflows:         *coflows,
+		Rogues:          *rogues,
+		Forges:          *forges,
+		Police:          *police,
+		WarmUp:          *warmup,
+		Measure:         *measure,
+		FlightPath:      *flightrec,
+		MissBurstCount:  *missBurst,
+		MissBurstWindow: *missWindow,
+		InjectFailure:   *injectFail,
 		Log: func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
 		},
-	}
-	var err error
-	if opt.WarmUp, err = cli.ParseDuration(*warmup); err != nil {
-		return err
-	}
-	if opt.Measure, err = cli.ParseDuration(*measure); err != nil {
-		return err
-	}
-	opt.FlightPath = *flightrec
-	opt.MissBurstCount = *missBurst
-	opt.InjectFailure = *injectFail
-	if opt.MissBurstWindow, err = cli.ParseDuration(*missWindow); err != nil {
-		return err
 	}
 	if *metricsAddr != "" {
 		opt.Metrics = metrics.NewRegistry()

@@ -26,58 +26,37 @@ import (
 	"deadlineqos/internal/report"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "qostables:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("qostables", run) }
+
+var (
+	scale   = flag.String("scale", "quick", "experiment scale: quick|paper")
+	par     = cli.ParFlag(flag.CommandLine)
+	shards  = cli.ShardsFlag(flag.CommandLine)
+	seed    = flag.Uint64("seed", 1, "random seed")
+	loads   = flag.String("loads", "", "comma-separated loads overriding the scale's sweep")
+	warmup  = cli.DurationFlag(flag.CommandLine, "warmup", 0, "override warm-up period (e.g. 2ms)")
+	measure = cli.DurationFlag(flag.CommandLine, "measure", 0, "override measurement window (e.g. 25ms)")
+	plots   = flag.Bool("plots", true, "print ASCII plots next to the tables")
+	csvdir  = flag.String("csvdir", "", "also write every table as CSV into this directory")
+	archsF  = flag.String("archs", "", "comma-separated architecture subset (traditional,traditional4,ideal,simple,advanced)")
+	only    = flag.String("only", "", "comma-separated subset: table1,figures,penalty,band,eligible,buffer,skew,hotspot,vctable,speedup,jitter,manyvcs,collective,slack,churn,availability,survivable,policies,protection,gray")
+	polName = cli.PolicyFlag(flag.CommandLine)
+	coflows = cli.CoflowsFlag(flag.CommandLine)
+)
 
 func run() error {
-	var (
-		scale   = flag.String("scale", "quick", "experiment scale: quick|paper")
-		par     = cli.ParFlag()
-		shards  = cli.ShardsFlag()
-		seed    = flag.Uint64("seed", 1, "random seed")
-		loads   = flag.String("loads", "", "comma-separated loads overriding the scale's sweep")
-		warmup  = flag.String("warmup", "", "override warm-up period (e.g. 2ms)")
-		measure = flag.String("measure", "", "override measurement window (e.g. 25ms)")
-		plots   = flag.Bool("plots", true, "print ASCII plots next to the tables")
-		csvdir  = flag.String("csvdir", "", "also write every table as CSV into this directory")
-		archsF  = flag.String("archs", "", "comma-separated architecture subset (traditional,traditional4,ideal,simple,advanced)")
-		only    = flag.String("only", "", "comma-separated subset: table1,figures,penalty,band,eligible,buffer,skew,hotspot,vctable,speedup,jitter,manyvcs,collective,slack,churn,availability,survivable,policies,protection,gray")
-		polName = cli.PolicyFlag()
-		coflows = cli.CoflowsFlag()
-	)
-	prof := cli.ProfileFlags()
-	flag.Parse()
-	if err := prof.Start(); err != nil {
-		return err
-	}
-	defer prof.Stop()
-
-	opt, err := cli.Scale(*scale)
+	opt, err := cli.SuiteOptions(*scale, *loads, *par, *shards, *seed)
 	if err != nil {
 		return err
 	}
-	opt.Parallelism = *par
-	opt = opt.WithShards(*shards)
-	opt.Base.Seed = *seed
-	if *loads != "" {
-		if opt.Loads, err = cli.ParseLoads(*loads); err != nil {
-			return err
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "warmup":
+			opt.Base.WarmUp = *warmup
+		case "measure":
+			opt.Base.Measure = *measure
 		}
-	}
-	if *warmup != "" {
-		if opt.Base.WarmUp, err = cli.ParseDuration(*warmup); err != nil {
-			return err
-		}
-	}
-	if *measure != "" {
-		if opt.Base.Measure, err = cli.ParseDuration(*measure); err != nil {
-			return err
-		}
-	}
+	})
 	// -policy/-coflows ride on the shared base config, so they tilt every
 	// selected experiment — useful for re-running the paper tables under an
 	// alternative policy. E8 (policies) ignores them: it sweeps the whole
@@ -89,13 +68,8 @@ func run() error {
 		opt.Base.Coflows = &coflow.Config{StartAt: opt.Base.WarmUp}
 	}
 	if *archsF != "" {
-		opt.Archs = opt.Archs[:0]
-		for _, name := range strings.Split(*archsF, ",") {
-			a, err := arch.Parse(strings.TrimSpace(name))
-			if err != nil {
-				return err
-			}
-			opt.Archs = append(opt.Archs, a)
+		if opt.Archs, err = cli.ParseList(*archsF, "architecture", arch.Parse); err != nil {
+			return err
 		}
 	}
 

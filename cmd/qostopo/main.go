@@ -11,33 +11,22 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 
 	"deadlineqos/internal/cli"
+	"deadlineqos/internal/faults"
 	"deadlineqos/internal/report"
 	"deadlineqos/internal/topology"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "qostopo:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("qostopo", run) }
+
+var (
+	topoSpec = flag.String("topo", "paper", "topology: paper|small|clos:L,D,U|tree:K,N|single:N")
+	route    = flag.String("route", "", "print all minimal paths for a pair, e.g. 0:127")
+)
 
 func run() error {
-	var (
-		topoSpec = flag.String("topo", "paper", "topology: paper|small|clos:L,D,U|tree:K,N|single:N")
-		route    = flag.String("route", "", "print all minimal paths for a pair, e.g. 0:127")
-	)
-	prof := cli.ProfileFlags()
-	flag.Parse()
-	if err := prof.Start(); err != nil {
-		return err
-	}
-	defer prof.Stop()
-
 	topo, err := cli.ParseTopology(*topoSpec)
 	if err != nil {
 		return err
@@ -46,29 +35,20 @@ func run() error {
 	fmt.Printf("topology %s: %d hosts, %d switches\n\n",
 		topo.Name(), topo.Hosts(), topo.Switches())
 
-	// Wiring census.
-	links, unwired := 0, 0
+	// Wiring census: host attachments and each side of a switch-switch
+	// cable count as one wired port.
+	ports, links := 0, len(faults.WiredLinks(topo))
 	radixCount := map[int]int{}
 	for sw := 0; sw < topo.Switches(); sw++ {
 		radixCount[topo.Radix(sw)]++
-		for p := 0; p < topo.Radix(sw); p++ {
-			ref := topo.Peer(sw, p)
-			switch {
-			case ref.ID == -1:
-				unwired++
-			case ref.IsHost:
-				links++ // host attachment (bidirectional pair)
-			default:
-				links++ // each switch-switch direction counted once per side
-			}
-		}
+		ports += topo.Radix(sw)
 	}
 	t := report.NewTable("wiring census", "metric", "value")
 	for radix, n := range radixCount {
 		t.Add(fmt.Sprintf("switches with %d ports", radix), fmt.Sprintf("%d", n))
 	}
 	t.Add("wired switch ports", fmt.Sprintf("%d", links))
-	t.Add("unwired switch ports", fmt.Sprintf("%d", unwired))
+	t.Add("unwired switch ports", fmt.Sprintf("%d", ports-links))
 	fmt.Println(t)
 
 	// Path diversity statistics over a sample of pairs.

@@ -11,49 +11,29 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"deadlineqos/internal/cli"
 	"deadlineqos/internal/experiments"
 	"deadlineqos/internal/report"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("sweep", run) }
+
+var (
+	figure = flag.Int("figure", 2, "paper figure to regenerate: 2 (Control), 3 (Video), 4 (best-effort)")
+	scale  = flag.String("scale", "quick", "experiment scale: quick|paper")
+	loads  = flag.String("loads", "", "comma-separated loads overriding the scale's sweep")
+	par    = cli.ParFlag(flag.CommandLine)
+	shards = cli.ShardsFlag(flag.CommandLine)
+	seed   = flag.Uint64("seed", 1, "random seed")
+	seeds  = flag.String("seeds", "", "comma-separated seed list: figure 2 reports mean±std across them")
+	csv    = flag.Bool("csv", false, "emit CSV instead of tables and plots")
+)
 
 func run() error {
-	var (
-		figure = flag.Int("figure", 2, "paper figure to regenerate: 2 (Control), 3 (Video), 4 (best-effort)")
-		scale  = flag.String("scale", "quick", "experiment scale: quick|paper")
-		loads  = flag.String("loads", "", "comma-separated loads overriding the scale's sweep")
-		par    = cli.ParFlag()
-		shards = cli.ShardsFlag()
-		seed   = flag.Uint64("seed", 1, "random seed")
-		seeds  = flag.String("seeds", "", "comma-separated seed list: figure 2 reports mean±std across them")
-		csv    = flag.Bool("csv", false, "emit CSV instead of tables and plots")
-	)
-	prof := cli.ProfileFlags()
-	flag.Parse()
-	if err := prof.Start(); err != nil {
-		return err
-	}
-	defer prof.Stop()
-
-	opt, err := cli.Scale(*scale)
+	opt, err := cli.SuiteOptions(*scale, *loads, *par, *shards, *seed)
 	if err != nil {
 		return err
-	}
-	opt.Parallelism = *par
-	opt = opt.WithShards(*shards)
-	opt.Base.Seed = *seed
-	if *loads != "" {
-		if opt.Loads, err = cli.ParseLoads(*loads); err != nil {
-			return err
-		}
 	}
 
 	emit := func(tables []*report.Table, plots []*report.Plot) {

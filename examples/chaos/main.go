@@ -25,19 +25,6 @@ import (
 	"deadlineqos/internal/topology"
 )
 
-// wiredLinks enumerates every switch output link of a topology.
-func wiredLinks(topo deadlineqos.Topology) []deadlineqos.FaultLinkID {
-	var ids []deadlineqos.FaultLinkID
-	for sw := 0; sw < topo.Switches(); sw++ {
-		for p := 0; p < topo.Radix(sw); p++ {
-			if topo.Peer(sw, p).ID != -1 {
-				ids = append(ids, deadlineqos.FaultLinkID{Switch: sw, Port: p})
-			}
-		}
-	}
-	return ids
-}
-
 func main() {
 	topo, err := topology.NewFoldedClos(4, 4, 4) // 16 hosts
 	if err != nil {
@@ -51,7 +38,7 @@ func main() {
 	cfg.Measure = 30 * deadlineqos.Millisecond
 
 	horizon := cfg.WarmUp + cfg.Measure
-	plan := deadlineqos.RandomFaultPlan(7, wiredLinks(topo), horizon, deadlineqos.FaultRandomConfig{
+	plan := deadlineqos.RandomFaultPlan(7, deadlineqos.WiredLinks(topo), horizon, deadlineqos.FaultRandomConfig{
 		Flaps:    4,
 		MinDown:  100 * deadlineqos.Microsecond,
 		MaxDown:  800 * deadlineqos.Microsecond,

@@ -1,6 +1,6 @@
 // Package cli holds the small helpers shared by the command-line tools:
-// scale selection (quick vs paper), duration parsing, and topology
-// construction from flag values.
+// the shared flags, scale selection (quick vs paper), duration and list
+// parsing, and topology construction from flag values.
 package cli
 
 import (
@@ -19,8 +19,8 @@ import (
 // simulations a sweep runs concurrently (one goroutine per run). Every
 // CLI that sweeps uses this helper so the knob is spelled identically
 // everywhere.
-func ParFlag() *int {
-	return flag.Int("par", 0, "parallel simulations (0 = GOMAXPROCS)")
+func ParFlag(fs *flag.FlagSet) *int {
+	return fs.Int("par", 0, "parallel simulations (0 = GOMAXPROCS)")
 }
 
 // ShardsFlag registers the shared -shards flag: how many engine
@@ -28,24 +28,24 @@ func ParFlag() *int {
 // network.Config.Shards). Results are byte-identical at every shard
 // count; only wall-clock time changes. Orthogonal to -par, which
 // parallelises across runs.
-func ShardsFlag() *int {
-	return flag.Int("shards", 1, "engine shards per simulation (1 = sequential, byte-identical results at any value)")
+func ShardsFlag(fs *flag.FlagSet) *int {
+	return fs.Int("shards", 1, "engine shards per simulation (1 = sequential, byte-identical results at any value)")
 }
 
 // PolicyFlag registers the shared -policy flag: which scheduling policy
 // the run uses (see internal/policy). Every CLI that runs a single
 // network uses this helper so the knob is spelled identically everywhere;
 // the empty default keeps the seed behaviour byte-identical.
-func PolicyFlag() *string {
-	return flag.String("policy", "",
+func PolicyFlag(fs *flag.FlagSet) *string {
+	return fs.String("policy", "",
 		"scheduling policy: "+strings.Join(policy.Names(), "|")+" (empty = default, byte-identical to the pre-policy simulator)")
 }
 
 // CoflowsFlag registers the shared -coflows flag: attach the ring coflow
 // workload (σ-order deadline admission through the CAC, rejected rounds
 // demoted to best-effort) on top of the configured traffic.
-func CoflowsFlag() *bool {
-	return flag.Bool("coflows", false, "attach the ring coflow workload (sigma-order admission; rejected rounds run best-effort)")
+func CoflowsFlag(fs *flag.FlagSet) *bool {
+	return fs.Bool("coflows", false, "attach the ring coflow workload (sigma-order admission; rejected rounds run best-effort)")
 }
 
 // Scale resolves an experiment scale name into Options.
@@ -61,6 +61,18 @@ func Scale(name string) (experiments.Options, error) {
 	default:
 		return experiments.Options{}, fmt.Errorf("unknown scale %q (want quick|paper)", name)
 	}
+}
+
+// SuiteOptions resolves the experiment-suite flags shared by sweep and
+// qostables: the scale (see Scale), an optional comma-separated load list
+// overriding its sweep, parallel runs, shards per run and the seed.
+func SuiteOptions(scale, loads string, par, shards int, seed uint64) (experiments.Options, error) {
+	opt, err := Scale(scale)
+	if err == nil && loads != "" {
+		opt.Loads, err = ParseLoads(loads)
+	}
+	opt.Parallelism, opt.Base.Seed = par, seed
+	return opt.WithShards(shards), err
 }
 
 // ParseDuration converts a human duration ("250us", "10ms", "1.5s", plain
@@ -113,6 +125,24 @@ func ParseSize(s string) (units.Size, error) {
 	return units.Size(v * float64(unit)), nil
 }
 
+// timeValue is a flag.Value parsed by ParseDuration, so a malformed
+// duration fails flag parsing and names its flag.
+type timeValue units.Time
+
+func (v *timeValue) String() string { return units.Time(*v).String() }
+
+func (v *timeValue) Set(s string) error {
+	t, err := ParseDuration(s)
+	*v = timeValue(t)
+	return err
+}
+
+// DurationFlag registers a simulation-duration flag ("250us", "10ms").
+func DurationFlag(fs *flag.FlagSet, name string, def units.Time, usage string) *units.Time {
+	fs.Var((*timeValue)(&def), name, usage)
+	return &def
+}
+
 // ParseTopology builds a topology from a flag value:
 //
 //	paper          — the 128-endpoint MIN (16 leaves x 8 + 8 spines)
@@ -149,37 +179,35 @@ func ParseTopology(s string) (topology.Topology, error) {
 	}
 }
 
-// ParseSeeds converts a comma-separated list ("1,2,3") into seed values.
-func ParseSeeds(s string) ([]uint64, error) {
+// ParseList parses each element of a comma-separated list; what names an
+// element in errors.
+func ParseList[T any](s, what string, parse func(string) (T, error)) ([]T, error) {
 	if strings.TrimSpace(s) == "" {
-		return nil, fmt.Errorf("empty seed list")
+		return nil, fmt.Errorf("empty %s list", what)
 	}
-	var out []uint64
+	var out []T
 	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseUint(strings.TrimSpace(part), 10, 64)
+		v, err := parse(strings.TrimSpace(part))
 		if err != nil {
-			return nil, fmt.Errorf("bad seed %q: %w", part, err)
+			return nil, fmt.Errorf("bad %s %q: %w", what, part, err)
 		}
 		out = append(out, v)
 	}
 	return out, nil
 }
 
+// ParseSeeds converts a comma-separated list ("1,2,3") into seed values.
+func ParseSeeds(s string) ([]uint64, error) {
+	return ParseList(s, "seed", func(p string) (uint64, error) { return strconv.ParseUint(p, 10, 64) })
+}
+
 // ParseLoads converts a comma-separated list ("0.1,0.5,1.0") into loads.
 func ParseLoads(s string) ([]float64, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, fmt.Errorf("empty load list")
-	}
-	var loads []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad load %q: %w", part, err)
+	return ParseList(s, "load", func(p string) (float64, error) {
+		v, err := strconv.ParseFloat(p, 64)
+		if err == nil && (v < 0 || v > 1) {
+			err = fmt.Errorf("out of [0,1]")
 		}
-		if v < 0 || v > 1 {
-			return nil, fmt.Errorf("load %v out of [0,1]", v)
-		}
-		loads = append(loads, v)
-	}
-	return loads, nil
+		return v, err
+	})
 }

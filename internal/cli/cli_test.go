@@ -1,6 +1,10 @@
 package cli
 
 import (
+	"flag"
+	"io"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"deadlineqos/internal/units"
@@ -101,5 +105,55 @@ func TestParseSeeds(t *testing.T) {
 		if _, err := ParseSeeds(bad); err == nil {
 			t.Errorf("ParseSeeds(%q) accepted", bad)
 		}
+	}
+}
+
+func TestProfileStopReportsMemprofileError(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	prof := ProfileFlags(fs)
+	bad := filepath.Join(t.TempDir(), "missing", "mem.prof")
+	if err := fs.Parse([]string{"-memprofile", bad}); err != nil {
+		t.Fatal(err)
+	}
+	if err := prof.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := prof.Stop(); err == nil {
+		t.Fatal("Stop succeeded writing a heap profile to an uncreatable path")
+	}
+}
+
+func TestDurationFlag(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	d := DurationFlag(fs, "d", 5*units.Millisecond, "")
+	if *d != 5*units.Millisecond {
+		t.Fatalf("default = %v", *d)
+	}
+	if err := fs.Parse([]string{"-d", "250us"}); err != nil {
+		t.Fatal(err)
+	}
+	if *d != 250*units.Microsecond {
+		t.Errorf("parsed = %v", *d)
+	}
+	if err := fs.Parse([]string{"-d", "soon"}); err == nil || !strings.Contains(err.Error(), "-d") {
+		t.Errorf("bad duration: error %v, want one naming the flag", err)
+	}
+}
+
+func TestSuiteOptions(t *testing.T) {
+	opt, err := SuiteOptions("quick", "0.5,1.0", 3, 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(opt.Loads) != 2 || opt.Parallelism != 3 || opt.Base.Shards != 2 || opt.Base.Seed != 7 {
+		t.Errorf("SuiteOptions = loads %v par %d shards %d seed %d",
+			opt.Loads, opt.Parallelism, opt.Base.Shards, opt.Base.Seed)
+	}
+	if _, err := SuiteOptions("huge", "", 0, 1, 1); err == nil {
+		t.Error("unknown scale accepted")
+	}
+	if _, err := SuiteOptions("quick", "2", 0, 1, 1); err == nil {
+		t.Error("out-of-range load accepted")
 	}
 }

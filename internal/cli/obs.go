@@ -1,6 +1,6 @@
-// Shared observability plumbing for the command-line tools: pprof
-// profile flags and the live metrics server flag, spelled identically
-// everywhere.
+// Shared observability plumbing for the command-line tools: the entry
+// point that runs a command under the pprof profile flags, and the live
+// metrics server flag, spelled identically everywhere.
 
 package cli
 
@@ -23,11 +23,11 @@ type Profile struct {
 }
 
 // ProfileFlags registers the shared -cpuprofile and -memprofile flags.
-// Call Start after flag.Parse and defer Stop.
-func ProfileFlags() *Profile {
+// Call Start after parsing and Stop before exiting; Main does both.
+func ProfileFlags(fs *flag.FlagSet) *Profile {
 	return &Profile{
-		cpu: flag.String("cpuprofile", "", "write a CPU profile to this file"),
-		mem: flag.String("memprofile", "", "write a heap profile to this file on exit"),
+		cpu: fs.String("cpuprofile", "", "write a CPU profile to this file"),
+		mem: fs.String("memprofile", "", "write a heap profile to this file on exit"),
 	}
 }
 
@@ -77,12 +77,32 @@ func (p *Profile) Stop() error {
 	return nil
 }
 
+// Main is a command's entry point. It registers the shared profile flags,
+// parses the command line (register the command's own flags first), runs
+// body under the requested profiles, and exits non-zero naming the
+// command when body fails or a profile cannot be written.
+func Main(name string, body func() error) {
+	prof := ProfileFlags(flag.CommandLine)
+	flag.Parse()
+	err := prof.Start()
+	if err == nil {
+		err = body()
+		if serr := prof.Stop(); err == nil {
+			err = serr
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		os.Exit(1)
+	}
+}
+
 // MetricsAddrFlag registers the shared -metrics-addr flag: a listen
 // address for the live metrics server (Prometheus text at /metrics,
 // JSON at /metrics.json, expvar at /debug/vars, pprof under
 // /debug/pprof/). Empty disables it.
-func MetricsAddrFlag() *string {
-	return flag.String("metrics-addr", "", "serve live metrics and pprof on this address (e.g. :9100; empty = off)")
+func MetricsAddrFlag(fs *flag.FlagSet) *string {
+	return fs.String("metrics-addr", "", "serve live metrics and pprof on this address (e.g. :9100; empty = off)")
 }
 
 // StartMetrics starts the live metrics server when addr is non-empty and

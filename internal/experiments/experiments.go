@@ -741,24 +741,11 @@ func DeadlineSlack(opt Options) (*report.Table, error) {
 
 // --- R1: chaos — graceful degradation under faults ----------------------------
 
-// chaosLinkIDs enumerates every wired switch output link of a topology.
-func chaosLinkIDs(topo topology.Topology) []faults.LinkID {
-	var ids []faults.LinkID
-	for sw := 0; sw < topo.Switches(); sw++ {
-		for p := 0; p < topo.Radix(sw); p++ {
-			if topo.Peer(sw, p).ID != -1 {
-				ids = append(ids, faults.LinkID{Switch: sw, Port: p})
-			}
-		}
-	}
-	return ids
-}
-
 // ChaosPlan returns the standard chaos-scenario fault plan for a run of
 // the given horizon: a handful of link flaps and derate epochs plus a
 // uniform 1e-6 bit-error rate on every link.
 func ChaosPlan(seed uint64, topo topology.Topology, horizon units.Time) *faults.Plan {
-	plan := faults.RandomPlan(seed, chaosLinkIDs(topo), horizon, faults.RandomConfig{
+	plan := faults.RandomPlan(seed, faults.WiredLinks(topo), horizon, faults.RandomConfig{
 		Flaps:    4,
 		MinDown:  horizon / 200,
 		MaxDown:  horizon / 25,
@@ -824,7 +811,7 @@ func Chaos(opt Options) (*report.Table, error) {
 // exercises the CAC's revocation path (revoke, re-admit over surviving
 // capacity, or downgrade) rather than the reliability layer.
 func ChurnPlan(seed uint64, topo topology.Topology, horizon units.Time) *faults.Plan {
-	return faults.RandomPlan(seed, chaosLinkIDs(topo), horizon, faults.RandomConfig{
+	return faults.RandomPlan(seed, faults.WiredLinks(topo), horizon, faults.RandomConfig{
 		Derates:  4,
 		MinScale: 0.3,
 	})
@@ -907,7 +894,7 @@ func SwitchFaultPlan(seed uint64, topo topology.Topology, horizon, mttf units.Ti
 	if n > 4 {
 		n = 4
 	}
-	return faults.RandomPlan(seed, chaosLinkIDs(topo), horizon, faults.RandomConfig{
+	return faults.RandomPlan(seed, faults.WiredLinks(topo), horizon, faults.RandomConfig{
 		Switches:     topo.Switches(),
 		SwitchFaults: n,
 		SwitchMTTF:   mttf,

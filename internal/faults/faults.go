@@ -36,6 +36,7 @@ import (
 
 	"deadlineqos/internal/link"
 	"deadlineqos/internal/sim"
+	"deadlineqos/internal/topology"
 	"deadlineqos/internal/units"
 	"deadlineqos/internal/xrand"
 )
@@ -51,6 +52,20 @@ type LinkID struct {
 // SwitchID returns the LinkID form addressing a whole switch (Port -1),
 // used by SwitchDown/SwitchUp events.
 func SwitchID(sw int) LinkID { return LinkID{Switch: sw, Port: -1} }
+
+// WiredLinks enumerates every wired switch output link of a topology in
+// (switch, port) order — the link set random fault plans draw from.
+func WiredLinks(topo topology.Topology) []LinkID {
+	var ids []LinkID
+	for sw := 0; sw < topo.Switches(); sw++ {
+		for p := 0; p < topo.Radix(sw); p++ {
+			if topo.Peer(sw, p).ID != -1 {
+				ids = append(ids, LinkID{Switch: sw, Port: p})
+			}
+		}
+	}
+	return ids
+}
 
 // String renders the link id.
 func (id LinkID) String() string {

@@ -6,13 +6,17 @@
 package harness
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 
 	"deadlineqos/internal/arch"
+	"deadlineqos/internal/metrics"
 	"deadlineqos/internal/network"
 	"deadlineqos/internal/report"
 	"deadlineqos/internal/stats"
+	"deadlineqos/internal/trace"
+	"deadlineqos/internal/units"
 )
 
 // Point is the outcome of one (architecture, load) simulation.
@@ -204,4 +208,37 @@ func SpeedupTable(title string, baseline, sharded []Point) *report.Table {
 			float64(b.Res.Perf.WallNs)/1e6, float64(p.Res.Perf.WallNs)/1e6, speedup)
 	}
 	return t
+}
+
+// GateConfig builds one perf-gate scenario: the configurations the root
+// package's benchmarks record into BENCH_<scenario>.json and cmd/qosbench
+// re-measures against those baselines.
+//
+//	simrate          full-load Advanced on the 16-host Clos, 2 ms
+//	simrate_traced   simrate with 2% lifecycle tracing and order tracking
+//	simrate_metrics  simrate recording into a live metrics registry
+//	parsim           full-load Advanced on the paper-scale MIN, 3 ms
+//
+// Tracers and registries are single-use: build a fresh config per run.
+func GateConfig(scenario string, seed uint64) (network.Config, error) {
+	cfg := network.SmallConfig()
+	cfg.Measure = 2 * units.Millisecond
+	switch scenario {
+	case "simrate":
+	case "simrate_traced":
+		tr, err := trace.New(trace.Config{SampleRate: 0.02, Seed: seed})
+		if err != nil {
+			return cfg, err
+		}
+		cfg.Tracer, cfg.TrackOrderErrors = tr, true
+	case "simrate_metrics":
+		cfg.Metrics = metrics.NewRegistry()
+	case "parsim":
+		cfg = network.DefaultConfig()
+		cfg.Measure = 3 * units.Millisecond
+	default:
+		return cfg, fmt.Errorf("unknown scenario (want simrate|simrate_traced|simrate_metrics|parsim)")
+	}
+	cfg.Arch, cfg.Load, cfg.WarmUp, cfg.Seed = arch.Advanced2VC, 1.0, 0, seed
+	return cfg, nil
 }

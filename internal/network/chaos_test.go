@@ -8,7 +8,6 @@ import (
 	"deadlineqos/internal/faults"
 	"deadlineqos/internal/hostif"
 	"deadlineqos/internal/packet"
-	"deadlineqos/internal/topology"
 	"deadlineqos/internal/units"
 )
 
@@ -25,24 +24,11 @@ func chaosBase() Config {
 	return cfg
 }
 
-// allLinkIDs enumerates every wired switch output link of a topology.
-func allLinkIDs(topo topology.Topology) []faults.LinkID {
-	var ids []faults.LinkID
-	for sw := 0; sw < topo.Switches(); sw++ {
-		for p := 0; p < topo.Radix(sw); p++ {
-			if topo.Peer(sw, p).ID != -1 {
-				ids = append(ids, faults.LinkID{Switch: sw, Port: p})
-			}
-		}
-	}
-	return ids
-}
-
 // chaosPlan builds a representative fault plan: several flaps, a derate
 // epoch and a uniform bit-error rate.
 func chaosPlan(cfg *Config) *faults.Plan {
 	horizon := cfg.WarmUp + cfg.Measure
-	plan := faults.RandomPlan(42, allLinkIDs(cfg.Topology), horizon, faults.RandomConfig{
+	plan := faults.RandomPlan(42, faults.WiredLinks(cfg.Topology), horizon, faults.RandomConfig{
 		Flaps:   4,
 		MinDown: 50 * units.Microsecond,
 		MaxDown: 400 * units.Microsecond,

@@ -130,7 +130,7 @@ func TestFuzzFaultPlans(t *testing.T) {
 				cfg.BEDests = 3
 				cfg.Reliability = hostif.Reliability{Enabled: true}
 				cfg.CheckInvariants = true
-				cfg.Faults = faults.RandomPlan(seed*977, allLinkIDs(topo),
+				cfg.Faults = faults.RandomPlan(seed*977, faults.WiredLinks(topo),
 					cfg.WarmUp+cfg.Measure, faults.RandomConfig{
 						Flaps:    3,
 						MinDown:  20 * units.Microsecond,

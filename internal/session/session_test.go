@@ -130,20 +130,6 @@ func TestSetupLatencyGrowsWithLoad(t *testing.T) {
 	}
 }
 
-// allLinks enumerates every wired switch output link.
-func allLinks(cfg network.Config) []faults.LinkID {
-	var ids []faults.LinkID
-	topo := cfg.Topology
-	for sw := 0; sw < topo.Switches(); sw++ {
-		for p := 0; p < topo.Radix(sw); p++ {
-			if topo.Peer(sw, p).ID != -1 {
-				ids = append(ids, faults.LinkID{Switch: sw, Port: p})
-			}
-		}
-	}
-	return ids
-}
-
 func TestDerateRevokesReservations(t *testing.T) {
 	cfg := base()
 	cfg.Sessions = &session.Config{
@@ -154,7 +140,7 @@ func TestDerateRevokesReservations(t *testing.T) {
 	// that must be revoked, and with no surviving headroom anywhere most
 	// victims are told to continue best effort.
 	plan := &faults.Plan{}
-	for _, id := range allLinks(cfg) {
+	for _, id := range faults.WiredLinks(cfg.Topology) {
 		plan.Events = append(plan.Events,
 			faults.Event{At: 1500 * units.Microsecond, Link: id, Kind: faults.Derate, Scale: 0.35})
 	}

@@ -25,7 +25,6 @@ import (
 	"deadlineqos/internal/packet"
 	"deadlineqos/internal/policy"
 	"deadlineqos/internal/session"
-	"deadlineqos/internal/topology"
 	"deadlineqos/internal/trace"
 	"deadlineqos/internal/units"
 )
@@ -182,7 +181,7 @@ func EpochConfig(opt Options, epoch int) network.Config {
 	cfg.Police = opt.Police
 
 	horizon := cfg.WarmUp + cfg.Measure
-	plan := faults.RandomPlan(seed, soakLinkIDs(cfg.Topology), horizon, faults.RandomConfig{
+	plan := faults.RandomPlan(seed, faults.WiredLinks(cfg.Topology), horizon, faults.RandomConfig{
 		Flaps:    opt.Flaps,
 		MinDown:  horizon / 200,
 		MaxDown:  horizon / 25,
@@ -201,19 +200,6 @@ func EpochConfig(opt Options, epoch int) network.Config {
 	plan.DefaultBER = 1e-7
 	cfg.Faults = plan
 	return cfg
-}
-
-// soakLinkIDs enumerates every wired switch output link of a topology.
-func soakLinkIDs(topo topology.Topology) []faults.LinkID {
-	var ids []faults.LinkID
-	for sw := 0; sw < topo.Switches(); sw++ {
-		for p := 0; p < topo.Radix(sw); p++ {
-			if topo.Peer(sw, p).ID != -1 {
-				ids = append(ids, faults.LinkID{Switch: sw, Port: p})
-			}
-		}
-	}
-	return ids
 }
 
 // EpochReport is one audited epoch's outcome.

@@ -258,6 +258,10 @@ type FaultEvent = faults.Event
 // Config.DegradedLinks coordinates.
 type FaultLinkID = faults.LinkID
 
+// WiredLinks enumerates every wired switch output link of a topology, the
+// link set RandomFaultPlan draws from.
+func WiredLinks(topo Topology) []FaultLinkID { return faults.WiredLinks(topo) }
+
 // FaultTraceEntry is one executed fault event of Results.FaultTrace.
 type FaultTraceEntry = faults.TraceEntry
 
