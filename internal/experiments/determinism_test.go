@@ -24,7 +24,8 @@ import (
 // byte-identical statistics snapshots, trace output, telemetry,
 // conservation accounting and fault traces to the sequential engine with
 // the same config and seed. These tests pin that guarantee across every
-// feature that records state at event time.
+// feature that records state at event time, and pin the sequential
+// fingerprint itself against the committed digests (golden_test.go).
 
 // detScenario is one config variation to cross-check.
 type detScenario struct {
@@ -373,6 +374,7 @@ func TestShardDeterminism(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
 			ref := runFingerprint(t, sc.cfg(), 1, false)
+			checkGolden(t, sc.name, ref)
 			for _, shards := range detShardCounts() {
 				got := runFingerprint(t, sc.cfg(), shards, false)
 				if !bytes.Equal(ref, got) {
@@ -406,6 +408,7 @@ func TestShardDeterminismTraced(t *testing.T) {
 		return cfg
 	}
 	ref := runFingerprint(t, cfgFn(), 1, true)
+	checkGolden(t, "traced-chaos", ref)
 	for _, shards := range detShardCounts() {
 		got := runFingerprint(t, cfgFn(), shards, true)
 		if !bytes.Equal(ref, got) {
@@ -433,6 +436,7 @@ func TestShardDeterminismPolicyTraced(t *testing.T) {
 		return cfg
 	}
 	ref := runFingerprint(t, cfgFn(), 1, true)
+	checkGolden(t, "traced-policy", ref)
 	for _, shards := range detShardCounts() {
 		got := runFingerprint(t, cfgFn(), shards, true)
 		if !bytes.Equal(ref, got) {
@@ -460,6 +464,7 @@ func TestShardDeterminismProtectionTraced(t *testing.T) {
 		return cfg
 	}
 	ref := runFingerprint(t, cfgFn(), 1, true)
+	checkGolden(t, "traced-protection", ref)
 	for _, shards := range detShardCounts() {
 		got := runFingerprint(t, cfgFn(), shards, true)
 		if !bytes.Equal(ref, got) {
