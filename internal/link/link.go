@@ -105,6 +105,10 @@ type Link struct {
 	// downed link recovered. The upstream scheduler re-arbitrates in
 	// response.
 	OnReady func()
+	// txDone is the end-of-serialisation event, bound once in New so a
+	// send schedules it without allocating. It reads OnReady when it
+	// fires.
+	txDone func()
 
 	// Fault state (see internal/faults). downEpoch increments on every
 	// down transition; a packet is lost if it was transmitted while the
@@ -137,6 +141,11 @@ func New(eng *sim.Engine, bw units.Bandwidth, prop units.Time, creditsPerVC unit
 	l := &Link{eng: eng, bw: bw, nominal: bw, prop: prop, dst: dst, capacity: creditsPerVC}
 	for v := range l.credits {
 		l.credits[v] = creditsPerVC
+	}
+	l.txDone = func() {
+		if l.OnReady != nil {
+			l.OnReady()
+		}
 	}
 	return l
 }
@@ -189,11 +198,7 @@ func (l *Link) Send(p *packet.Packet) {
 		}
 	}
 	// The link frees after serialisation; the packet lands prop later.
-	l.eng.After(tx, func() {
-		if l.OnReady != nil {
-			l.OnReady()
-		}
-	})
+	l.eng.After(tx, l.txDone)
 	sentDown := l.down
 	epoch := l.downEpoch
 	l.inFlight++

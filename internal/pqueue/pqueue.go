@@ -27,7 +27,6 @@
 package pqueue
 
 import (
-	"container/heap"
 	"fmt"
 
 	"deadlineqos/internal/metrics"
@@ -149,20 +148,51 @@ type minEntry struct {
 	id       uint64
 }
 
+// minHeap is a binary min-heap on deadline. Its sifts are those of
+// container/heap, written out over the value slice so that entries are
+// never boxed into interfaces.
 type minHeap []minEntry
 
-func (h minHeap) Len() int           { return len(h) }
-func (h minHeap) Less(i, j int) bool { return h[i].deadline < h[j].deadline }
-func (h minHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *minHeap) Push(x any)        { *h = append(*h, x.(minEntry)) }
-func (h *minHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+func (h *minHeap) push(e minEntry) {
+	*h = append(*h, e)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(s[j].deadline < s[i].deadline) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *minHeap) pop() {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].deadline < s[j].deadline {
+			j = j2
+		}
+		if !(s[j].deadline < s[i].deadline) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+}
 
 func newMinTracker() *minTracker {
 	return &minTracker{dead: make(map[uint64]int)}
 }
 
 func (t *minTracker) add(p *packet.Packet) {
-	heap.Push(&t.entries, minEntry{p.Deadline, p.ID})
+	t.entries.push(minEntry{p.Deadline, p.ID})
 }
 
 func (t *minTracker) remove(p *packet.Packet) {
@@ -182,7 +212,7 @@ func (t *minTracker) compact() {
 		} else {
 			t.dead[top.id] = n - 1
 		}
-		heap.Pop(&t.entries)
+		t.entries.pop()
 	}
 }
 
@@ -243,53 +273,62 @@ func (b *base) popAccounting(p *packet.Packet) {
 
 // --- FIFO ---------------------------------------------------------------
 
-// fifoQueue is a growable ring of packets.
-type fifoQueue struct {
-	buf        []*packet.Packet
+// entry is a stored packet with its arrival sequence, the tie-break of
+// the ordered disciplines.
+type entry struct {
+	p   *packet.Packet
+	seq uint64
+}
+
+// ring is a growable FIFO ring. front, back and pop return the zero T
+// when the ring is empty.
+type ring[T any] struct {
+	buf        []T
 	head, size int
 }
 
-func (q *fifoQueue) len() int { return q.size }
+func (q *ring[T]) len() int { return q.size }
 
-func (q *fifoQueue) front() *packet.Packet {
+func (q *ring[T]) front() (v T) {
 	if q.size == 0 {
-		return nil
+		return v
 	}
 	return q.buf[q.head]
 }
 
-func (q *fifoQueue) back() *packet.Packet {
+func (q *ring[T]) back() (v T) {
 	if q.size == 0 {
-		return nil
+		return v
 	}
 	return q.buf[(q.head+q.size-1)%len(q.buf)]
 }
 
-func (q *fifoQueue) push(p *packet.Packet) {
+func (q *ring[T]) push(v T) {
 	if q.size == len(q.buf) {
-		grown := make([]*packet.Packet, max(8, 2*len(q.buf)))
+		grown := make([]T, max(8, 2*len(q.buf)))
 		for i := 0; i < q.size; i++ {
 			grown[i] = q.buf[(q.head+i)%len(q.buf)]
 		}
 		q.buf = grown
 		q.head = 0
 	}
-	q.buf[(q.head+q.size)%len(q.buf)] = p
+	q.buf[(q.head+q.size)%len(q.buf)] = v
 	q.size++
 }
 
-func (q *fifoQueue) pop() *packet.Packet {
+func (q *ring[T]) pop() (v T) {
 	if q.size == 0 {
-		return nil
+		return v
 	}
-	p := q.buf[q.head]
-	q.buf[q.head] = nil
+	v = q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
 	q.head = (q.head + 1) % len(q.buf)
 	q.size--
-	return p
+	return v
 }
 
-func (q *fifoQueue) scan(fn func(*packet.Packet)) {
+func (q *ring[T]) scan(fn func(T)) {
 	for i := 0; i < q.size; i++ {
 		fn(q.buf[(q.head+i)%len(q.buf)])
 	}
@@ -298,7 +337,7 @@ func (q *fifoQueue) scan(fn func(*packet.Packet)) {
 // Fifo is a first-in first-out packet buffer.
 type Fifo struct {
 	base
-	q fifoQueue
+	q ring[*packet.Packet]
 }
 
 // NewFIFO returns an empty FIFO buffer of the given byte capacity.
@@ -336,28 +375,51 @@ func (f *Fifo) Scan(fn func(*packet.Packet)) { f.q.scan(fn) }
 
 // --- Heap ("Ideal") -------------------------------------------------------
 
-type heapEntry struct {
-	p   *packet.Packet
-	seq uint64 // arrival order, the EDF tie-break
-}
+// pktHeap is a binary min-heap on (deadline, arrival sequence), with
+// container/heap's sifts written out over the value slice.
+type pktHeap []entry
 
-type pktHeap []heapEntry
-
-func (h pktHeap) Len() int { return len(h) }
-func (h pktHeap) Less(i, j int) bool {
-	if h[i].p.Deadline != h[j].p.Deadline {
-		return h[i].p.Deadline < h[j].p.Deadline
+func (a entry) before(b entry) bool {
+	if a.p.Deadline != b.p.Deadline {
+		return a.p.Deadline < b.p.Deadline
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h pktHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *pktHeap) Push(x any)   { *h = append(*h, x.(heapEntry)) }
-func (h *pktHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = heapEntry{}
-	*h = old[:n-1]
+
+func (h *pktHeap) push(e entry) {
+	*h = append(*h, e)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !s[j].before(s[i]) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *pktHeap) pop() entry {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].before(s[j]) {
+			j = j2
+		}
+		if !s[j].before(s[i]) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	e := s[n]
+	s[n] = entry{}
+	*h = s[:n]
 	return e
 }
 
@@ -381,7 +443,7 @@ func NewHeap(capacity units.Size, track bool) *DeadlineHeap {
 // Push stores p in deadline order.
 func (d *DeadlineHeap) Push(p *packet.Packet) {
 	d.pushAccounting(p, "heap")
-	heap.Push(&d.h, heapEntry{p, d.arrivalSeq})
+	d.h.push(entry{p, d.arrivalSeq})
 	d.arrivalSeq++
 }
 
@@ -398,7 +460,7 @@ func (d *DeadlineHeap) Pop() *packet.Packet {
 	if len(d.h) == 0 {
 		return nil
 	}
-	e := heap.Pop(&d.h).(heapEntry)
+	e := d.h.pop()
 	d.popAccounting(e.p)
 	return e.p
 }
@@ -423,16 +485,15 @@ func (d *DeadlineHeap) Scan(fn func(*packet.Packet)) {
 // appendix proves never reorders a single flow's packets.
 type TakeOverQueue struct {
 	base
-	l, u     fifoQueue
-	seqOf    map[uint64]uint64 // packet id -> arrival sequence (tie-break)
-	takeOver uint64            // packets diverted to U, a direct order-pressure measure
+	l, u     ring[entry]
+	takeOver uint64 // packets diverted to U, a direct order-pressure measure
 }
 
 // NewTakeOver returns an empty two-queue buffer of the given byte capacity.
 // L and U share the capacity dynamically, as in the paper ("the two queues
 // can dynamically take all the memory allowed for the VC").
 func NewTakeOver(capacity units.Size, track bool) *TakeOverQueue {
-	t := &TakeOverQueue{base: base{capacity: capacity}, seqOf: make(map[uint64]uint64)}
+	t := &TakeOverQueue{base: base{capacity: capacity}}
 	if track {
 		t.tracker = newMinTracker()
 	}
@@ -443,15 +504,15 @@ func NewTakeOver(capacity units.Size, track bool) *TakeOverQueue {
 // empty or when D(p) ≥ D(L's tail); into U otherwise.
 func (t *TakeOverQueue) Push(p *packet.Packet) {
 	t.pushAccounting(p, "takeover")
-	t.seqOf[p.ID] = t.arrivalSeq
+	e := entry{p, t.arrivalSeq}
 	t.arrivalSeq++
-	if tail := t.l.back(); tail == nil || p.Deadline >= tail.Deadline {
+	if tail := t.l.back(); tail.p == nil || p.Deadline >= tail.p.Deadline {
 		// Lemma 1 guarantees L is empty only when U is too, so an empty
 		// L tail always means "both empty → store in L".
-		t.l.push(p)
+		t.l.push(e)
 		return
 	}
-	t.u.push(p)
+	t.u.push(e)
 	t.takeOver++
 	t.mtr.TakeOvers.Inc()
 	if t.obs != nil {
@@ -459,44 +520,50 @@ func (t *TakeOverQueue) Push(p *packet.Packet) {
 	}
 }
 
-// Head returns the dequeue candidate per Definition 2: the smaller-deadline
-// head of L and U (earlier arrival wins ties).
-func (t *TakeOverQueue) Head() *packet.Packet {
+// head returns the dequeue candidate per Definition 2, the
+// smaller-deadline head of L and U (earlier arrival wins ties), and
+// whether it heads L.
+func (t *TakeOverQueue) head() (entry, bool) {
 	lh, uh := t.l.front(), t.u.front()
 	switch {
-	case lh == nil && uh == nil:
-		return nil
-	case lh == nil:
+	case lh.p == nil && uh.p == nil:
+		return entry{}, false
+	case lh.p == nil:
 		// Violates Lemma 1; reaching this means the enqueue/dequeue
 		// algorithms were not followed.
 		panic("pqueue: take-over queue non-empty while ordered queue empty (Lemma 1 violated)")
-	case uh == nil:
-		return lh
-	case lh.Deadline < uh.Deadline:
-		return lh
-	case uh.Deadline < lh.Deadline:
-		return uh
-	case t.seqOf[lh.ID] < t.seqOf[uh.ID]:
-		return lh
+	case uh.p == nil:
+		return lh, true
+	case lh.p.Deadline < uh.p.Deadline:
+		return lh, true
+	case uh.p.Deadline < lh.p.Deadline:
+		return uh, false
+	case lh.seq < uh.seq:
+		return lh, true
 	default:
-		return uh
+		return uh, false
 	}
+}
+
+// Head returns the dequeue candidate per Definition 2.
+func (t *TakeOverQueue) Head() *packet.Packet {
+	e, _ := t.head()
+	return e.p
 }
 
 // Pop removes and returns the dequeue candidate.
 func (t *TakeOverQueue) Pop() *packet.Packet {
-	h := t.Head()
-	if h == nil {
+	e, inL := t.head()
+	if e.p == nil {
 		return nil
 	}
-	if t.l.front() == h {
+	if inL {
 		t.l.pop()
 	} else {
 		t.u.pop()
 	}
-	delete(t.seqOf, h.ID)
-	t.popAccounting(h)
-	return h
+	t.popAccounting(e.p)
+	return e.p
 }
 
 // Len returns the number of stored packets.
@@ -504,8 +571,9 @@ func (t *TakeOverQueue) Len() int { return t.l.len() + t.u.len() }
 
 // Scan visits L front-to-back, then U front-to-back.
 func (t *TakeOverQueue) Scan(fn func(*packet.Packet)) {
-	t.l.scan(fn)
-	t.u.scan(fn)
+	visit := func(e entry) { fn(e.p) }
+	t.l.scan(visit)
+	t.u.scan(visit)
 }
 
 // TakeOvers returns how many pushed packets were diverted to the take-over

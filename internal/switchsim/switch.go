@@ -31,6 +31,7 @@ package switchsim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"deadlineqos/internal/arbiter"
 	"deadlineqos/internal/arch"
@@ -144,6 +145,10 @@ type inputPort struct {
 	// will still free. Valid only while busy.
 	xferVC   packet.VC
 	xferSize units.Size
+
+	// waiting holds output o iff some VC of this port has a packet queued
+	// for o: the outputs a freed input re-arbitrates (retryInput).
+	waiting bitset
 }
 
 type outputPort struct {
@@ -160,6 +165,44 @@ type outputPort struct {
 	// this output on a guarded VC, the occupancy guard's fairness state.
 	// Allocated only when the guard is on.
 	served [packet.NumVCs][]units.Size
+
+	// occ[vc] is the occupancy index of this output: it holds input i iff
+	// i's VOQ toward this output on vc is non-empty. Arbitration visits
+	// only these inputs, in ascending order (Audit checks the index
+	// against the queues).
+	occ [packet.NumVCs]bitset
+	// cands is the crossbar candidate scratch space, refilled by every
+	// grant attempt (gather).
+	cands [packet.NumVCs][]arbiter.Candidate
+}
+
+// bitset is a set of port indices, one bit per port.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (b bitset) set(i int)      { b[i>>6] |= 1 << (i & 63) }
+func (b bitset) unset(i int)    { b[i>>6] &^= 1 << (i & 63) }
+func (b bitset) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+
+// next returns the smallest member not below i, or -1 if there is none.
+// It reads the set afresh on every call, so a walk
+// (for i := b.next(0); i >= 0; i = b.next(i+1)) sees changes made
+// during it exactly as a scan over every index would.
+func (b bitset) next(i int) int {
+	w := i >> 6
+	if w >= len(b) {
+		return -1
+	}
+	if word := b[w] >> (i & 63); word != 0 {
+		return i + bits.TrailingZeros64(word)
+	}
+	for w++; w < len(b); w++ {
+		if b[w] != 0 {
+			return w<<6 + bits.TrailingZeros64(b[w])
+		}
+	}
+	return -1
 }
 
 // New builds a switch. Ports must then be wired with ConnectUpstream /
@@ -174,7 +217,7 @@ func New(cfg Config) *Switch {
 	}
 	s := &Switch{cfg: cfg}
 	for i := 0; i < cfg.Radix; i++ {
-		ip := &inputPort{sw: s, idx: i}
+		ip := &inputPort{sw: s, idx: i, waiting: newBitset(cfg.Radix)}
 		for vc := 0; vc < packet.NumVCs; vc++ {
 			ip.voq[vc] = make([]pqueue.Buffer, cfg.Radix)
 			for o := 0; o < cfg.Radix; o++ {
@@ -191,6 +234,8 @@ func New(cfg Config) *Switch {
 
 		op := &outputPort{sw: s, idx: i}
 		for vc := 0; vc < packet.NumVCs; vc++ {
+			op.occ[vc] = newBitset(cfg.Radix)
+			op.cands[vc] = make([]arbiter.Candidate, 0, cfg.Radix)
 			op.buf[vc] = pqueue.New(cfg.Arch.Discipline(packet.VC(vc)), cfg.BufPerVC, cfg.TrackOrderErrors)
 			op.buf[vc].SetMetrics(cfg.Metrics.Buf)
 			if cfg.Tracer != nil {
@@ -288,8 +333,9 @@ func (s *Switch) receive(in int, p *packet.Packet) {
 	// within GuardBytes of the most-served input, so a long-idle port
 	// neither freezes the others nor inherits an unbounded backlog of
 	// artificial credit.
-	if s.guarded(vc) && s.guardedInput(in) && ip.voq[vc][o].Len() == 0 {
-		served := s.out[o].served[vc]
+	op := s.out[o]
+	if s.guarded(vc) && s.guardedInput(in) && !op.occ[vc].has(in) {
+		served := op.served[vc]
 		max := served[0]
 		for _, v := range served[1:] {
 			if v > max {
@@ -301,6 +347,8 @@ func (s *Switch) receive(in int, p *packet.Packet) {
 		}
 	}
 	ip.voq[vc][o].Push(p)
+	op.occ[vc].set(in)
+	ip.waiting.set(o)
 	s.tryXbar(o)
 }
 
@@ -310,20 +358,32 @@ func (s *Switch) tryXbar(o int) {
 	if op.busy {
 		return
 	}
-	// Gather per-VC candidates: head packets of non-busy inputs that fit
-	// in the output buffer. On a guarded VC an input whose served bytes
-	// lead the least-served backlogged input by more than GuardBytes is
-	// withheld, so a babbling NIC cannot monopolise the regulated VC
-	// while other inputs hold traffic for this output.
-	var cands [packet.NumVCs][]arbiter.Candidate
+	s.gather(op)
+	// The policy's two-level choice: VC first, then input within the VC
+	// (the default policy applies the architecture's rule).
+	vc, sel := op.arb.PickXbar(&op.cands)
+	if sel < 0 {
+		return
+	}
+	s.startTransfer(s.in[op.cands[vc][sel].Source], op, packet.VC(vc))
+}
+
+// gather refills op.cands with the per-VC crossbar candidates: head
+// packets of non-busy inputs that fit in the output buffer, in ascending
+// input order. Only the inputs in the occupancy index are visited. On a
+// guarded VC an input whose served bytes lead the least-served backlogged
+// input by more than GuardBytes is withheld, so a babbling NIC cannot
+// monopolise the regulated VC while other inputs hold traffic for this
+// output.
+func (s *Switch) gather(op *outputPort) {
 	for vc := 0; vc < packet.NumVCs; vc++ {
-		free := op.buf[vc].Free()
+		cands, occ := op.cands[vc][:0], op.occ[vc]
 		ceiling := units.Size(-1)
 		if s.guarded(packet.VC(vc)) {
 			first := true
 			var min units.Size
-			for i, ip := range s.in {
-				if !s.guardedInput(i) || ip.voq[vc][o].Len() == 0 {
+			for i := occ.next(0); i >= 0; i = occ.next(i + 1) {
+				if !s.guardedInput(i) {
 					continue
 				}
 				if v := op.served[vc][i]; first || v < min {
@@ -334,30 +394,33 @@ func (s *Switch) tryXbar(o int) {
 				ceiling = min + s.cfg.GuardBytes
 			}
 		}
-		for i, ip := range s.in {
+		free := op.buf[vc].Free()
+		for i := occ.next(0); i >= 0; i = occ.next(i + 1) {
+			ip := s.in[i]
 			if ip.busy {
 				continue
 			}
 			if ceiling >= 0 && s.guardedInput(i) && op.served[vc][i] > ceiling {
 				continue
 			}
-			if h := ip.voq[vc][o].Head(); h != nil && h.Size <= free {
-				cands[vc] = append(cands[vc], arbiter.Candidate{Pkt: h, Source: i})
+			if h := ip.voq[vc][op.idx].Head(); h.Size <= free {
+				cands = append(cands, arbiter.Candidate{Pkt: h, Source: i})
 			}
 		}
+		op.cands[vc] = cands
 	}
-	// The policy's two-level choice: VC first, then input within the VC
-	// (the default policy applies the architecture's rule).
-	vc, sel := op.arb.PickXbar(&cands)
-	if sel < 0 {
-		return
-	}
-	s.startTransfer(s.in[cands[vc][sel].Source], op, packet.VC(vc))
 }
 
 // startTransfer moves the head of ip's VOQ for op through the crossbar.
 func (s *Switch) startTransfer(ip *inputPort, op *outputPort, vc packet.VC) {
-	p := ip.voq[vc][op.idx].Pop()
+	q := ip.voq[vc][op.idx]
+	p := q.Pop()
+	if q.Len() == 0 {
+		op.occ[vc].unset(ip.idx)
+		if !s.anyQueued(ip, op.idx) {
+			ip.waiting.unset(op.idx)
+		}
+	}
 	if s.cfg.Tracer != nil && p.Sampled {
 		// The per-hop slack distribution of the deadline telemetry is fed
 		// from exactly this event (trace.Tracer aggregates VOQ dequeues).
@@ -445,9 +508,11 @@ func (s *Switch) SetDown(down bool) bool {
 				}
 			}
 		}
+		clear(ip.waiting)
 	}
 	for _, op := range s.out {
 		for vc := 0; vc < packet.NumVCs; vc++ {
+			clear(op.occ[vc])
 			for {
 				p := op.buf[vc].Pop()
 				if p == nil {
@@ -469,14 +534,30 @@ func (s *Switch) Dropped() uint64 { return s.dropped }
 
 // Audit verifies the switch's internal buffer accounting: every input
 // port's per-VC pool must equal the bytes actually queued in its VOQs plus
-// the in-flight crossbar transfer it still holds. The soak harness calls
-// this after every epoch as the switch-level credit-leak check.
+// the in-flight crossbar transfer it still holds, and the occupancy index
+// must match the queues exactly (output o's VC bit for input i is set iff
+// that VOQ is non-empty; input i's waiting bit for o iff any of its VOQs
+// toward o is). The soak harness calls this after every epoch as the
+// switch-level credit-leak check.
 func (s *Switch) Audit() error {
 	for _, ip := range s.in {
 		var want [packet.NumVCs]units.Size
+		waiting := make([]bool, s.cfg.Radix)
 		for vc := 0; vc < packet.NumVCs; vc++ {
 			for o := 0; o < s.cfg.Radix; o++ {
 				want[vc] += ip.voq[vc][o].Bytes()
+				queued := ip.voq[vc][o].Len() > 0
+				waiting[o] = waiting[o] || queued
+				if has := s.out[o].occ[vc].has(ip.idx); has != queued {
+					return fmt.Errorf("switch %d output %d vc %d: occupancy bit of input %d is %v, VOQ non-empty is %v",
+						s.cfg.ID, o, vc, ip.idx, has, queued)
+				}
+			}
+		}
+		for o, queued := range waiting {
+			if has := ip.waiting.has(o); has != queued {
+				return fmt.Errorf("switch %d input %d: waiting bit of output %d is %v, any VOQ non-empty is %v",
+					s.cfg.ID, ip.idx, o, has, queued)
 			}
 		}
 		if ip.busy {
@@ -498,18 +579,22 @@ func (s *Switch) Audit() error {
 
 // retryInput re-arbitrates the outputs the freed input has traffic for.
 func (s *Switch) retryInput(ip *inputPort) {
-	for o := 0; o < s.cfg.Radix; o++ {
-		waiting := false
-		for vc := 0; vc < packet.NumVCs; vc++ {
-			if ip.voq[vc][o].Len() > 0 {
-				waiting = true
-				break
-			}
-		}
-		if waiting && !s.out[o].busy {
+	for o := ip.waiting.next(0); o >= 0; o = ip.waiting.next(o + 1) {
+		if !s.out[o].busy {
 			s.tryXbar(o)
 		}
 	}
+}
+
+// anyQueued reports whether input ip holds a packet for output o on any
+// VC, reading the occupancy index.
+func (s *Switch) anyQueued(ip *inputPort, o int) bool {
+	for vc := range s.out[o].occ {
+		if s.out[o].occ[vc].has(ip.idx) {
+			return true
+		}
+	}
+	return false
 }
 
 // tryLinkTx attempts to put one packet from output o's buffers on the wire.

@@ -1,6 +1,7 @@
 package switchsim
 
 import (
+	"fmt"
 	"testing"
 
 	"deadlineqos/internal/arch"
@@ -432,5 +433,75 @@ func TestTraditional4VCPerClassVCs(t *testing.T) {
 	// background backlog.
 	if pos > 5 {
 		t.Fatalf("control delivered at position %d behind background backlog", pos)
+	}
+}
+
+func TestSwitchDownUpKeepsOccupancyIndex(t *testing.T) {
+	// A burst from every input toward two outputs backs up several VOQs;
+	// the switch dies with them queued, comes back, and must audit clean
+	// and forward new traffic (a stale occupancy bit would hand the
+	// arbiter an empty VOQ).
+	r := newRig(t, arch.Advanced2VC, 4, 8*units.Kilobyte)
+	for in := 0; in < 4; in++ {
+		for j := 0; j < 6; j++ {
+			cl := packet.Class(j % packet.NumClasses)
+			r.inject(units.Time(j)*260, in, mkpkt(cl, units.Time(5000+j), 256, 1+(in+j)%2))
+		}
+	}
+	queued := 0
+	r.eng.At(1000, func() {
+		queued = r.sw.Queued()
+		if err := r.sw.Audit(); err != nil {
+			t.Errorf("before the fault: %v", err)
+		}
+		r.sw.SetDown(true)
+		if err := r.sw.Audit(); err != nil {
+			t.Errorf("while down: %v", err)
+		}
+	})
+	r.eng.At(3000, func() { r.sw.SetDown(false) })
+	r.eng.Run(3000)
+	if queued < 4 {
+		t.Fatalf("%d packets queued when the switch went down; the test needs a backlog", queued)
+	}
+	delivered := func() int {
+		n := 0
+		for _, sn := range r.sinks {
+			n += len(sn.got)
+		}
+		return n
+	}
+	before := delivered()
+	for in := 0; in < 4; in++ {
+		for j := 0; j < 3; j++ {
+			r.inject(4000+units.Time(j)*300, in, mkpkt(packet.Control, 9000, 256, (in+j+1)%4))
+		}
+	}
+	r.eng.Run(20 * units.Millisecond)
+	if got := delivered() - before; got != 12 {
+		t.Fatalf("%d packets forwarded after the switch came back, want 12", got)
+	}
+	if err := r.sw.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestBitsetWalk(t *testing.T) {
+	b := newBitset(130)
+	want := []int{0, 5, 63, 64, 127, 129}
+	for _, i := range want {
+		b.set(i)
+	}
+	b.set(70)
+	b.unset(70)
+	var got []int
+	for i := b.next(0); i >= 0; i = b.next(i + 1) {
+		got = append(got, i)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("walk = %v, want %v", got, want)
+	}
+	if b.has(70) || !b.has(64) || b.next(130) != -1 {
+		t.Fatal("membership wrong after unset")
 	}
 }
