@@ -171,7 +171,7 @@ type outputPort struct {
 	// only these inputs, in ascending order (Audit checks the index
 	// against the queues).
 	occ [packet.NumVCs]bitset
-	// cands is the crossbar candidate scratch space, refilled by every
+	// cands holds the crossbar candidates, reused and refilled by every
 	// grant attempt (gather).
 	cands [packet.NumVCs][]arbiter.Candidate
 }
