@@ -18,7 +18,7 @@
 //	qosim -arch traditional -load 0.8 -topo small -track
 //	qosim -topo small -load 0.8 -flaps 4 -derates 2 -ber 1e-6 -reliability -faulttrace
 //	qosim -topo small -load 0.6 -inter 200us -delegate -local 0.7 -flash 6
-//	qosim -topo small -load 0.8 -sample 0.05 -probe 100us -out /tmp/qostrace
+//	qosim -topo small -load 0.8 -sample 0.05 -probe 100us -out /tmp/qosim_out
 package main
 
 import (

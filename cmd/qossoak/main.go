@@ -34,59 +34,67 @@ import (
 	"deadlineqos/internal/units"
 )
 
-func main() { cli.Main("qossoak", run) }
+func main() {
+	opts := optionFlags(flag.CommandLine)
+	metricsAddr := cli.MetricsAddrFlag(flag.CommandLine)
+	cli.Main("qossoak", func() error { return run(opts(), *metricsAddr) })
+}
 
-var (
-	seed         = flag.Uint64("seed", 1, "master seed; epoch e runs with a seed derived from (seed, e)")
-	epochs       = flag.Int("epochs", 4, "number of epochs to run")
-	firstEpoch   = flag.Int("first-epoch", 0, "index of the first epoch (for replaying a single epoch)")
-	shards       = cli.ShardsFlag(flag.CommandLine)
-	load         = flag.Float64("load", 0.8, "offered load per host as a fraction of link bandwidth")
-	warmup       = cli.DurationFlag(flag.CommandLine, "warmup", units.Millisecond, "per-epoch warm-up period excluded from measurement")
-	measure      = cli.DurationFlag(flag.CommandLine, "measure", 8*units.Millisecond, "per-epoch measurement window")
-	switchFaults = flag.Int("switch-faults", 2, "switch outage pairs per epoch")
-	flaps        = flag.Int("flaps", 3, "link flap pairs per epoch")
-	derates      = flag.Int("derates", 2, "bandwidth derate pairs per epoch")
-	polName      = cli.PolicyFlag(flag.CommandLine)
-	coflows      = flag.Bool("coflows", false, "attach the ring coflow workload (sigma-order admission) to every epoch")
-	rogues       = flag.Int("rogues", 0, "RogueFlow misbehaviour windows per epoch")
-	forges       = flag.Int("forges", 0, "DeadlineForge misbehaviour windows per epoch")
-	police       = flag.Bool("police", false, "enforce per-flow token-bucket policing at NIC ingress")
-	metricsAddr  = cli.MetricsAddrFlag(flag.CommandLine)
-	flightrec    = flag.String("flightrec", "", "arm the flight recorder; dump the event window to this file on an invariant trip or deadline-miss burst")
-	missBurst    = flag.Int("miss-burst", 0, "trip the flight recorder when this many deadline misses land within -miss-window (0 = off)")
-	missWindow   = cli.DurationFlag(flag.CommandLine, "miss-window", units.Millisecond, "deadline-miss-burst window")
-	injectFail   = flag.Bool("inject-failure", false, "fail the first epoch's audit with a synthetic violation (exercises the flight-dump path; exits non-zero)")
-)
-
-func run() error {
-	opt := soak.Options{
-		Seed:            *seed,
-		Epochs:          *epochs,
-		FirstEpoch:      *firstEpoch,
-		Shards:          *shards,
-		Load:            *load,
-		SwitchFaults:    *switchFaults,
-		Flaps:           *flaps,
-		Derates:         *derates,
-		Policy:          *polName,
-		Coflows:         *coflows,
-		Rogues:          *rogues,
-		Forges:          *forges,
-		Police:          *police,
-		WarmUp:          *warmup,
-		Measure:         *measure,
-		FlightPath:      *flightrec,
-		MissBurstCount:  *missBurst,
-		MissBurstWindow: *missWindow,
-		InjectFailure:   *injectFail,
-		Log: func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
-		},
+// optionFlags registers the soak's flags on fs and returns the options
+// they select once fs is parsed. A failing epoch's replay recipe must
+// parse back through these same definitions to the same epoch.
+func optionFlags(fs *flag.FlagSet) func() soak.Options {
+	seed := fs.Uint64("seed", 1, "master seed; epoch e runs with a seed derived from (seed, e)")
+	epochs := fs.Int("epochs", 4, "number of epochs to run")
+	firstEpoch := fs.Int("first-epoch", 0, "index of the first epoch (for replaying a single epoch)")
+	shards := cli.ShardsFlag(fs)
+	load := fs.Float64("load", 0.8, "offered load per host as a fraction of link bandwidth")
+	warmup := cli.DurationFlag(fs, "warmup", units.Millisecond, "per-epoch warm-up period excluded from measurement")
+	measure := cli.DurationFlag(fs, "measure", 8*units.Millisecond, "per-epoch measurement window")
+	switchFaults := fs.Int("switch-faults", 2, "switch outage pairs per epoch")
+	flaps := fs.Int("flaps", 3, "link flap pairs per epoch")
+	derates := fs.Int("derates", 2, "bandwidth derate pairs per epoch")
+	polName := cli.PolicyFlag(fs)
+	coflows := fs.Bool("coflows", false, "attach the ring coflow workload (sigma-order admission) to every epoch")
+	rogues := fs.Int("rogues", 0, "RogueFlow misbehaviour windows per epoch")
+	forges := fs.Int("forges", 0, "DeadlineForge misbehaviour windows per epoch")
+	police := fs.Bool("police", false, "enforce per-flow token-bucket policing at NIC ingress")
+	flightrec := fs.String("flightrec", "", "arm the flight recorder; dump the event window to this file on an invariant trip or deadline-miss burst")
+	missBurst := fs.Int("miss-burst", 0, "trip the flight recorder when this many deadline misses land within -miss-window (0 = off)")
+	missWindow := cli.DurationFlag(fs, "miss-window", units.Millisecond, "deadline-miss-burst window")
+	injectFail := fs.Bool("inject-failure", false, "fail the first epoch's audit with a synthetic violation (exercises the flight-dump path; exits non-zero)")
+	return func() soak.Options {
+		return soak.Options{
+			Seed:            *seed,
+			Epochs:          *epochs,
+			FirstEpoch:      *firstEpoch,
+			Shards:          *shards,
+			Load:            *load,
+			SwitchFaults:    *switchFaults,
+			Flaps:           *flaps,
+			Derates:         *derates,
+			Policy:          *polName,
+			Coflows:         *coflows,
+			Rogues:          *rogues,
+			Forges:          *forges,
+			Police:          *police,
+			WarmUp:          *warmup,
+			Measure:         *measure,
+			FlightPath:      *flightrec,
+			MissBurstCount:  *missBurst,
+			MissBurstWindow: *missWindow,
+			InjectFailure:   *injectFail,
+		}
 	}
-	if *metricsAddr != "" {
+}
+
+func run(opt soak.Options, metricsAddr string) error {
+	opt.Log = func(format string, args ...any) {
+		fmt.Printf(format+"\n", args...)
+	}
+	if metricsAddr != "" {
 		opt.Metrics = metrics.NewRegistry()
-		srv, err := cli.StartMetrics(*metricsAddr, opt.Metrics)
+		srv, err := cli.StartMetrics(metricsAddr, opt.Metrics)
 		if err != nil {
 			return err
 		}

@@ -207,19 +207,6 @@ func (n *Network) installGray() {
 		return false
 	}
 
-	// CAC endpoints for revalidation sweeps (empty without sessions).
-	type cacSched struct {
-		shard int
-		cac   cacHooks
-	}
-	var cacs []cacSched
-	if n.sessMgr != nil {
-		cacs = append(cacs, cacSched{n.hostShard[n.sessCfg.Manager], n.sessMgr})
-		for _, d := range n.sessDelegates {
-			cacs = append(cacs, cacSched{n.hostShard[d.HostID()], d})
-		}
-	}
-
 	for _, e := range episodes {
 		// The active gray set at this detection instant: every episode
 		// already detected and not yet healed blocks the detour search.
@@ -267,12 +254,12 @@ func (n *Network) installGray() {
 
 		// Session revalidation: every CAC endpoint re-sees the link at the
 		// evacuation capacity and revokes or reroutes what no longer fits.
-		for _, cs := range cacs {
-			cs := cs
+		for _, cac := range n.cacs {
+			cac := cac
 			link := e.link
-			sh := n.shards[cs.shard]
+			sh := cac.sh
 			sh.eng.At(e.detectAt, func() {
-				cs.cac.OnLinkDerated(link.Switch, link.Port, gcfg.EvacuateScale)
+				cac.OnLinkDerated(link.Switch, link.Port, gcfg.EvacuateScale)
 				sh.gray.revals++
 				if _, _, rev := sh.mtr.grayCounters(); rev != nil {
 					rev.Inc()

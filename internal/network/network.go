@@ -147,10 +147,10 @@ type Network struct {
 	coflow       *coflow.Manager // nil unless cfg.Coflows is set
 
 	// Dynamic session subsystem (nil / zero unless cfg.Sessions is set).
-	sessMgr       *session.Manager
-	sessCfg       session.Config
-	sessClients   []*session.Client
-	sessDelegates []*session.Delegate
+	sessMgr     *session.Manager
+	sessCfg     session.Config
+	sessClients []*session.Client
+	cacs        []cacOn // the root, then the pod delegates in pod order
 
 	// Sharded execution state (see internal/parsim). nshards == 1 is the
 	// sequential layout: one shard, no mailbox queues.

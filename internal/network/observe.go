@@ -112,26 +112,10 @@ func (p *prober) sample(t units.Time) {
 	// shard's events, so the merged (T, Pod, Host)-sorted series is
 	// identical at every shard count. Shard counters are deliberately NOT
 	// sampled here — their composition depends on the shard layout.
-	if m := p.n.sessMgr; m != nil && p.n.hostShard[p.n.sessCfg.Manager] == p.shard {
-		p.sh.telemetry.Sessions = append(p.sh.telemetry.Sessions, trace.SessionSample{
-			T: t, Pod: -1, Host: p.n.sessCfg.Manager,
-			Active: m.ActiveSessions(), ReservedBW: m.ReservedNow(),
-			Accepted: m.AcceptedCount(), Rejected: m.RejectedCount(),
-			Revoked: m.RevokedCount(), QueueDepth: m.QueueDepth(),
-			Shed: m.ShedCount(),
-		})
-	}
-	for _, d := range p.n.sessDelegates {
-		if p.n.hostShard[d.HostID()] != p.shard {
-			continue
+	for _, cac := range p.n.cacs {
+		if cac.sh == p.sh {
+			p.sh.telemetry.Sessions = append(p.sh.telemetry.Sessions, cac.Sample(t))
 		}
-		p.sh.telemetry.Sessions = append(p.sh.telemetry.Sessions, trace.SessionSample{
-			T: t, Pod: d.PodLeaf(), Host: d.HostID(),
-			Active: d.ActiveSessions(), ReservedBW: d.ReservedNow(),
-			Accepted: d.LocalGrantCount(), Revoked: d.RevokedCount(),
-			LeaseFrac: d.LeaseFrac(), LeaseUtil: d.LeaseUtil(),
-			QueueDepth: d.QueueDepth(), Shed: d.ShedCount(),
-		})
 	}
 	ev := p.sh.eng.Fired()
 	p.sh.telemetry.Engine = append(p.sh.telemetry.Engine, trace.EngineSample{

@@ -297,14 +297,16 @@ func (n *Network) AuditInvariants() error {
 			}
 		}
 	}
-	if n.adm != nil {
+	// Every CAC endpoint audits its own ledger. The root's is n.adm, which
+	// without sessions books the static flows alone.
+	if len(n.cacs) == 0 {
 		if err := n.adm.AuditLedger(); err != nil {
 			return err
 		}
 	}
-	for _, d := range n.sessDelegates {
-		if err := d.AuditLedger(); err != nil {
-			return fmt.Errorf("network: pod %d delegate (host %d): %w", d.PodLeaf(), d.HostID(), err)
+	for _, cac := range n.cacs {
+		if err := cac.AuditLedger(); err != nil {
+			return fmt.Errorf("network: CAC on host %d: %w", cac.HostID(), err)
 		}
 	}
 	// Control-plane liveness: no client may have a setup pending longer

@@ -7,20 +7,30 @@ import (
 	"deadlineqos/internal/hostif"
 	"deadlineqos/internal/packet"
 	"deadlineqos/internal/session"
-	"deadlineqos/internal/sim"
+	"deadlineqos/internal/trace"
 	"deadlineqos/internal/units"
 	"deadlineqos/internal/xrand"
 )
 
-// cacHooks is the fault-plan surface shared by the root Manager and the
-// pod Delegates: every CAC endpoint sees every topological event on its
-// own shard so its ledger tracks the fabric.
-type cacHooks interface {
+// cacEndpoint is what the network drives on a CAC endpoint, the root
+// Manager or a pod Delegate: the fault-plan events and gray revalidations
+// its ledger must track, its telemetry row and its ledger audit.
+type cacEndpoint interface {
 	OnLinkDerated(sw, port int, scale float64)
 	OnSwitchDown(sw int, downAt units.Time)
 	OnSwitchUp(sw int)
 	OnPortDown(sw, port int, downAt units.Time)
 	OnPortUp(sw, port int)
+	Sample(t units.Time) trace.SessionSample
+	AuditLedger() error
+	HostID() int
+}
+
+// cacOn is one CAC endpoint with the shard owning its host: every call
+// into the endpoint runs on that shard's engine.
+type cacOn struct {
+	cacEndpoint
+	sh *netShard
 }
 
 // provisionSessions wires the dynamic session subsystem (no-op unless
@@ -135,7 +145,6 @@ func (n *Network) provisionSessions(rng *xrand.Rand) error {
 			}
 		}
 	}
-	n.sessDelegates = delegates
 	delegateAt := make(map[int]*session.Delegate, len(delegates))
 	for _, d := range delegates {
 		delegateAt[d.HostID()] = d
@@ -153,6 +162,10 @@ func (n *Network) provisionSessions(rng *xrand.Rand) error {
 	})
 	n.sessMgr = m
 	n.hosts[mgr].SetCtlHandler(m.HandleCtl)
+	n.cacs = []cacOn{{m, mgrShard}}
+	for _, d := range delegates {
+		n.cacs = append(n.cacs, cacOn{d, n.shards[n.hostShard[d.HostID()]]})
+	}
 	if scfg.Delegation {
 		// Initial capacity leases ride the signalling flows from t=0.
 		mgrShard.eng.At(0, m.Bootstrap)
@@ -207,39 +220,30 @@ func (n *Network) provisionSessions(rng *xrand.Rand) error {
 	// event — is identical at any shard count. Scale-1 (restore) and up
 	// events pass through to the ledgers and revoke nothing.
 	if plan := n.cfg.Faults; !plan.Empty() {
-		scheds := []struct {
-			eng *sim.Engine
-			cac cacHooks
-		}{{mgrShard.eng, m}}
-		for _, d := range delegates {
-			scheds = append(scheds, struct {
-				eng *sim.Engine
-				cac cacHooks
-			}{n.shards[n.hostShard[d.HostID()]].eng, d})
-		}
 		for _, ev := range plan.Normalized() {
 			ev := ev
-			for _, cs := range scheds {
-				cac := cs.cac
+			for _, cac := range n.cacs {
+				cac := cac
+				eng := cac.sh.eng
 				switch ev.Kind {
 				case faults.Derate:
-					cs.eng.At(ev.At+scfg.RevokeDelay, func() {
+					eng.At(ev.At+scfg.RevokeDelay, func() {
 						cac.OnLinkDerated(ev.Link.Switch, ev.Link.Port, ev.Scale)
 					})
 				case faults.SwitchDown:
-					cs.eng.At(ev.At+scfg.RevokeDelay, func() {
+					eng.At(ev.At+scfg.RevokeDelay, func() {
 						cac.OnSwitchDown(ev.Link.Switch, ev.At)
 					})
 				case faults.SwitchUp:
-					cs.eng.At(ev.At+scfg.RevokeDelay, func() {
+					eng.At(ev.At+scfg.RevokeDelay, func() {
 						cac.OnSwitchUp(ev.Link.Switch)
 					})
 				case faults.PortDown:
-					cs.eng.At(ev.At+scfg.RevokeDelay, func() {
+					eng.At(ev.At+scfg.RevokeDelay, func() {
 						cac.OnPortDown(ev.Link.Switch, ev.Link.Port, ev.At)
 					})
 				case faults.PortUp:
-					cs.eng.At(ev.At+scfg.RevokeDelay, func() {
+					eng.At(ev.At+scfg.RevokeDelay, func() {
 						cac.OnPortUp(ev.Link.Switch, ev.Link.Port)
 					})
 				}

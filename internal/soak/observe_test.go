@@ -21,6 +21,7 @@ func TestInjectFailureDumpsFlightRecorder(t *testing.T) {
 	_, err := Run(Options{
 		Seed: 1, Epochs: 1, WarmUp: 200 * units.Microsecond,
 		Measure: 2 * units.Millisecond, Log: t.Logf,
+		SwitchFaults: 2, Flaps: 3, Derates: 2,
 		FlightPath:    path,
 		InjectFailure: true,
 	})
@@ -68,6 +69,7 @@ func TestSoakMetricsAccumulateAcrossEpochs(t *testing.T) {
 	rep, err := Run(Options{
 		Seed: 1, Epochs: 2, WarmUp: 200 * units.Microsecond,
 		Measure: 2 * units.Millisecond, Log: t.Logf,
+		SwitchFaults: 2, Flaps: 3, Derates: 2,
 		Metrics: reg,
 	})
 	if err != nil {

@@ -30,7 +30,7 @@ import (
 )
 
 // Options configures a soak run. Zero values select the defaults noted on
-// each field.
+// each field; a zero fault count injects no faults of that kind.
 type Options struct {
 	// Seed is the master seed; epoch e runs with EpochSeed(Seed, e).
 	Seed uint64
@@ -45,8 +45,8 @@ type Options struct {
 	Load float64
 	// WarmUp and Measure set each epoch's windows (defaults 1 ms / 8 ms).
 	WarmUp, Measure units.Time
-	// SwitchFaults, Flaps and Derates size each epoch's fault plan
-	// (defaults 2 / 3 / 2).
+	// SwitchFaults, Flaps and Derates size each epoch's fault plan (qossoak's
+	// flags default to 2 / 3 / 2).
 	SwitchFaults, Flaps, Derates int
 	// Policy selects the scheduling policy by name (see policy.Names;
 	// empty = default). Part of the replay contract: the failure recipe
@@ -111,15 +111,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Measure <= 0 {
 		o.Measure = 8 * units.Millisecond
-	}
-	if o.SwitchFaults <= 0 {
-		o.SwitchFaults = 2
-	}
-	if o.Flaps <= 0 {
-		o.Flaps = 3
-	}
-	if o.Derates <= 0 {
-		o.Derates = 2
 	}
 	return o
 }
@@ -305,7 +296,10 @@ func dumpFlight(fr *trace.FlightRecorder, path string) (string, error) {
 	return path, f.Close()
 }
 
-// epochErr wraps an epoch failure with its seed and replay recipe.
+// epochErr wraps an epoch failure with its seed and replay recipe. The
+// recipe spells out every option that shapes the epoch's config, with
+// durations in exact nanoseconds, so it replays the same epoch whatever
+// the flag defaults.
 func epochErr(opt Options, epoch int, seed uint64, err error) error {
 	extra := ""
 	if opt.Policy != "" {
@@ -314,17 +308,14 @@ func epochErr(opt Options, epoch int, seed uint64, err error) error {
 	if opt.Coflows {
 		extra += " -coflows"
 	}
-	if opt.Rogues > 0 {
-		extra += fmt.Sprintf(" -rogues %d", opt.Rogues)
-	}
-	if opt.Forges > 0 {
-		extra += fmt.Sprintf(" -forges %d", opt.Forges)
-	}
 	if opt.Police {
 		extra += " -police"
 	}
-	return fmt.Errorf("soak: epoch %d (seed %#016x): %w\nreplay: go run ./cmd/qossoak -seed %d -first-epoch %d -epochs 1 -shards %d%s",
-		epoch, seed, err, opt.Seed, epoch, opt.Shards, extra)
+	return fmt.Errorf("soak: epoch %d (seed %#016x): %w\nreplay: go run ./cmd/qossoak -seed %d -first-epoch %d -epochs 1 -shards %d"+
+		" -load %v -warmup %dns -measure %dns -switch-faults %d -flaps %d -derates %d -rogues %d -forges %d%s",
+		epoch, seed, err, opt.Seed, epoch, opt.Shards,
+		opt.Load, int64(opt.WarmUp), int64(opt.Measure), opt.SwitchFaults, opt.Flaps, opt.Derates,
+		opt.Rogues, opt.Forges, extra)
 }
 
 // Audit runs every post-epoch invariant: packet conservation, structural
